@@ -80,6 +80,10 @@ pub struct Executor<'g> {
     /// labels byte-identical to single-tenant runs. Mutable mid-run so the
     /// forest wave scheduler can re-tag the executor between waves.
     stage_tag: Mutex<Option<String>>,
+    /// One frame per `eval` in progress, innermost last: how many `SimClock`
+    /// entries the `eval`s nested directly inside it charged. An estimator
+    /// charged itself iff the ledger grew by more than its frame.
+    nested_charges: Mutex<Vec<usize>>,
 }
 
 impl<'g> Executor<'g> {
@@ -99,6 +103,7 @@ impl<'g> Executor<'g> {
             memo: Mutex::new(HashMap::new()),
             eval_counts: Mutex::new(HashMap::new()),
             stage_tag: Mutex::new(None),
+            nested_charges: Mutex::new(Vec::new()),
         }
     }
 
@@ -192,6 +197,20 @@ impl<'g> Executor<'g> {
 
     /// Evaluates `node`, recursively materializing dependencies.
     pub fn eval(&self, node: NodeId) -> NodeOutput {
+        let mark = self.ctx.sim.mark();
+        self.nested_charges.lock().push(0);
+        let out = self.eval_frame(node);
+        // Credit everything this evaluation charged to the enclosing one, so
+        // an estimator that pulled it lazily does not mistake it for its own.
+        let mut frames = self.nested_charges.lock();
+        frames.pop();
+        if let Some(parent) = frames.last_mut() {
+            *parent += self.ctx.sim.mark() - mark;
+        }
+        out
+    }
+
+    fn eval_frame(&self, node: NodeId) -> NodeOutput {
         // Run-local memo (models always; data only in memoize_all mode).
         if let Some(m) = self.memo.lock().get(&node) {
             return m.clone();
@@ -342,7 +361,6 @@ impl<'g> Executor<'g> {
                 let label = self.stage_label("fit", &n.label);
                 self.ctx.tracer.node_start(node, &label);
                 let sim_mark = self.ctx.sim.mark();
-                let sim_before = self.ctx.sim.total_seconds();
                 let span_mark = self.ctx.metrics.span_count();
                 let start = std::time::Instant::now();
                 // Estimators re-enter the executor through lazy handles;
@@ -354,16 +372,18 @@ impl<'g> Executor<'g> {
                         .wall
                         .time(&label, 0, || op.fit_any(&handle_refs, &self.ctx))
                 });
+                let nested = self.nested_charges.lock().last().copied().unwrap_or(0);
                 let wall_secs = start.elapsed().as_secs_f64();
                 // If the estimator didn't charge the simulated clock itself
-                // (solvers do), fall back to the profiled estimate. The
-                // record count comes from the profile's full-scale hint.
+                // (solvers do), fall back to the profiled estimate. Charges
+                // made by upstream nodes it pulled lazily are not its own.
+                // The record count comes from the profile's full-scale hint.
                 let records = self
                     .profiles
                     .as_ref()
                     .and_then(|p| p.get(&node))
                     .map_or(0, |p| p.records_hint);
-                if self.ctx.sim.total_seconds() == sim_before {
+                if self.ctx.sim.mark() - sim_mark == nested {
                     self.charge_sim(node, &label, records, wall_secs);
                 }
                 self.ctx.tracer.node_end(
@@ -735,6 +755,56 @@ mod tests {
             1,
             "materialized input must be computed once"
         );
+    }
+
+    /// Unit-rate profiles for `nodes`, three full-scale records each.
+    fn unit_profiles(nodes: &[NodeId]) -> Arc<HashMap<NodeId, NodeProfile>> {
+        let profile = NodeProfile {
+            secs_per_record: 1.0,
+            fixed_secs: 0.0,
+            out_bytes_per_record: 8.0,
+            out_records_per_in: 1.0,
+            records_hint: 3,
+            out_stats: crate::record::DataStats::empty(),
+        };
+        Arc::new(nodes.iter().map(|&n| (n, profile.clone())).collect())
+    }
+
+    #[test]
+    fn estimator_fit_is_charged_once_whether_or_not_its_input_is_cached() {
+        // src -> double -> double -> multipass(x4): two charged transforms
+        // deep, so charges nested inside nested evals are in play too.
+        for (cache, transform_evals) in [(no_cache(), 8), (big_cache(), 2)] {
+            let calls = Arc::new(AtomicU64::new(0));
+            let (mut g, _src, t) = chain_graph(calls.clone());
+            let t2 = g.add(
+                NodeKind::Transform(Arc::new(TypedTransformer::new(CountingDouble(calls)))),
+                vec![t],
+                "double",
+            );
+            let e = g.add(
+                NodeKind::Estimate(Arc::new(TypedEstimator::new(MultiPass { passes: 4 }))),
+                vec![t2],
+                "multipass",
+            );
+            let ctx = ExecContext::default_cluster();
+            let exec =
+                Executor::new(&g, ctx.clone(), cache).with_profiles(unit_profiles(&[t, t2, e]));
+            let _ = exec.eval(e);
+            let charged = |stage: &str| {
+                ctx.sim
+                    .entries()
+                    .iter()
+                    .filter(|x| x.stage == stage)
+                    .count()
+            };
+            assert_eq!(charged("transform:double"), transform_evals);
+            assert_eq!(
+                charged("fit:multipass"),
+                1,
+                "the fit itself is charged once"
+            );
+        }
     }
 
     #[test]
