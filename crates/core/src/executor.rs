@@ -80,9 +80,10 @@ pub struct Executor<'g> {
     /// labels byte-identical to single-tenant runs. Mutable mid-run so the
     /// forest wave scheduler can re-tag the executor between waves.
     stage_tag: Mutex<Option<String>>,
-    /// One frame per `eval` in progress, innermost last: how many `SimClock`
-    /// entries the `eval`s nested directly inside it charged. An estimator
-    /// charged itself iff the ledger grew by more than its frame.
+    /// While an estimator fit is in progress, one frame per fit or `eval`
+    /// in progress within it, innermost last: how many `SimClock` entries
+    /// the `eval`s nested directly inside it charged. An estimator charged
+    /// itself iff the ledger grew by more than its frame during the fit.
     nested_charges: Mutex<Vec<usize>>,
 }
 
@@ -197,6 +198,10 @@ impl<'g> Executor<'g> {
 
     /// Evaluates `node`, recursively materializing dependencies.
     pub fn eval(&self, node: NodeId) -> NodeOutput {
+        // Outside every estimator fit no frame is read, so none is kept.
+        if self.nested_charges.lock().is_empty() {
+            return self.eval_frame(node);
+        }
         let mark = self.ctx.sim.mark();
         self.nested_charges.lock().push(0);
         let out = self.eval_frame(node);
@@ -367,12 +372,13 @@ impl<'g> Executor<'g> {
                 // inner nodes push their own (innermost-wins) scope, so only
                 // the fit's own collection work is attributed here. Inner
                 // nodes likewise run their own recovery accounting.
+                self.nested_charges.lock().push(0);
                 let model = self.scoped(&label, node, || {
                     self.ctx
                         .wall
                         .time(&label, 0, || op.fit_any(&handle_refs, &self.ctx))
                 });
-                let nested = self.nested_charges.lock().last().copied().unwrap_or(0);
+                let nested = self.nested_charges.lock().pop().unwrap_or(0);
                 let wall_secs = start.elapsed().as_secs_f64();
                 // If the estimator didn't charge the simulated clock itself
                 // (solvers do), fall back to the profiled estimate. Charges

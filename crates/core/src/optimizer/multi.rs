@@ -30,18 +30,27 @@
 //!
 //! **Invariant**: each tenant's fitted pipeline is bit-identical to the
 //! pipeline a solo [`Pipeline::fit`] would produce — forest optimization may
-//! only change *when* and *what is shared*, never *what is computed*. And
-//! the forest's total simulated cost never exceeds the sum of solo costs:
-//! [`fit_forest`] scratch-measures both strategies on throwaway contexts and
-//! replays only the winner on the real one (determinism makes the replay
-//! exact), so even adversarially mis-declared operators cannot make sharing
-//! a regression.
+//! only change *when* and *what is shared*, never *what is computed*.
+//!
+//! **Choosing the plan**: [`fit_forest`] decides shared vs. independent
+//! fits *before* executing anything, as §4 chooses a physical plan from
+//! sampled profiles and a cost model. It merges the forest and profiles the
+//! merged graph once, then prices both strategies on the one forest
+//! `MatProblem`: the shared plan at its forest cache set, each tenant alone
+//! at the greedy set of its own restriction ([`tenant_subproblem`]). The
+//! cheaper plan is fitted once. With truthfully declared operators the
+//! prediction is the executor's charge schedule, so the forest's simulated
+//! cost never exceeds the sum of solo costs; the differential oracle checks
+//! that against solo fits measured outside the optimizer. Operators that
+//! charge the clock themselves are priced by extrapolating what they charged
+//! on the profiling samples.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
 use keystone_dataflow::cache::{CacheManager, CachePolicy};
+use keystone_dataflow::simclock::SimClock;
 
 use crate::context::ExecContext;
 use crate::executor::Executor;
@@ -54,7 +63,7 @@ use crate::pipeline::{ExecutablePlan, FitReport, FittedPipeline, Pipeline};
 use crate::profiler::{profile_and_select, ProfileOptions};
 use crate::record::Record;
 use crate::report::TenantRow;
-use crate::trace::TraceEvent;
+use crate::trace::{TraceEvent, Tracer};
 
 /// One shared node the forest canonicalizer found: a plan region used by
 /// two or more tenants, merged into a single node of the forest graph.
@@ -355,18 +364,33 @@ impl WaveScheduler {
     }
 }
 
-/// What the forest fit decided and measured.
+/// What the forest fit decided, predicted and measured.
 #[derive(Debug)]
 pub struct ForestReport {
     /// Whether the shared (merged-forest) plan was executed. `false` means
     /// the fit fell back to sequential solo fits — either sharing was not
-    /// estimated cheaper, or the opt level was [`OptLevel::None`].
+    /// predicted cheaper, or the opt level was [`OptLevel::None`].
     pub shared: bool,
-    /// Per-tenant simulated solo-fit cost, seconds (scratch-measured).
+    /// Per-tenant solo-fit cost, simulated seconds. On the shared path no
+    /// tenant ran alone, so this is *predicted*: the tenant's restriction of
+    /// the forest `MatProblem` at its own greedy cache set, priced at what
+    /// the executor charges (profiled seconds spread over the workers, plus
+    /// the charges operators such as solvers make themselves, extrapolated
+    /// from the profiling samples), plus what profiling the tenant's nodes
+    /// charged. On the fallback path the solo fits did run, and this is
+    /// their measured cost.
     pub solo_secs: Vec<f64>,
-    /// Total simulated cost of the forest fit as executed, seconds. By
-    /// construction ≤ `solo_secs.iter().sum()` (equal on the fallback path).
+    /// Predicted simulated cost of the shared plan, seconds: what its one
+    /// profiling pass charged plus the forest `MatProblem` at the forest
+    /// cache set, priced like `solo_secs`. `None` when nothing was predicted
+    /// (one tenant, or [`OptLevel::None`]).
+    pub est_shared_secs: Option<f64>,
+    /// Measured total simulated cost of the forest fit as executed, seconds
+    /// (equal to `solo_secs.iter().sum()` on the fallback path).
     pub forest_secs: f64,
+    /// Full-scale fits executed: 1 on the shared path, one per tenant on
+    /// the fallback path.
+    pub fits_executed: usize,
     /// Shared computation nodes found by cross-pipeline CSE (empty when the
     /// fallback path ran).
     pub cross_merges: Vec<CrossMerge>,
@@ -380,13 +404,14 @@ pub struct ForestReport {
 }
 
 impl ForestReport {
-    /// Sum of scratch-measured solo costs, seconds.
+    /// Sum of the per-tenant solo costs, seconds.
     pub fn total_solo_secs(&self) -> f64 {
         self.solo_secs.iter().sum()
     }
 
     /// Simulated-cost speedup of the executed forest plan over N
-    /// independent fits (≥ 1.0 by construction; 1.0 on the fallback path).
+    /// independent fits: predicted solo cost over measured forest cost on
+    /// the shared path, 1.0 on the fallback path.
     pub fn speedup(&self) -> f64 {
         if self.forest_secs > 0.0 {
             self.total_solo_secs() / self.forest_secs
@@ -396,25 +421,16 @@ impl ForestReport {
     }
 }
 
-/// A fresh context with the same cluster shape (and fault plan) as `ctx`
-/// but empty ledgers — the scratch bench [`fit_forest`] measures candidate
-/// strategies on before committing charges to the real context.
-fn scratch_ctx(ctx: &ExecContext) -> ExecContext {
-    let fresh = ExecContext::new(ctx.resources.clone());
-    match &ctx.faults {
-        Some(plan) => fresh.with_faults(plan.clone()),
-        None => fresh,
-    }
-}
-
 /// Optimizes and fits N tenant pipelines as one forest.
 ///
-/// Strategy selection is *measure-then-choose*: both the shared merged plan
-/// and the N-independent-fits plan are executed on scratch contexts first,
-/// and only the cheaper one is replayed on `ctx` — execution is
-/// deterministic, so the replay cost equals the measurement exactly. This
-/// makes `forest_secs ≤ Σ solo_secs` unconditional: mis-declared operator
-/// costs can fool an analytic model, but not a measurement.
+/// Strategy selection is *predict-then-fit*: the forest is merged and its
+/// merged graph profiled once, both strategies are priced on one forest
+/// `MatProblem`, and only the cheaper one executes — one full-scale fit on
+/// the shared path. The shared plan must be strictly cheaper; ties fall
+/// back to fitting each tenant alone, exactly as `tenants[i].fit(ctx, opts)`
+/// in tenant order. The profiling pass charges a side ledger that `ctx`
+/// adopts only on the shared path, so the fallback leaves `ctx` with
+/// exactly the sequential fits' charges and events.
 ///
 /// Each returned [`FittedPipeline`] is bit-identical (same models, same
 /// predictions) to the one `tenants[i].fit(ctx, opts)` would produce alone;
@@ -429,145 +445,107 @@ pub fn fit_forest<A: Record, B: Record>(
     opts: &PipelineOptions,
 ) -> (Vec<FittedPipeline<A, B>>, ForestReport) {
     assert!(!tenants.is_empty(), "fit_forest needs at least one tenant");
-    if tenants.len() == 1 {
-        let mark = ctx.sim.mark();
-        let (fitted, report) = tenants[0].fit(ctx, opts);
-        let secs = ctx.sim.seconds_since(mark);
-        let graph = fitted.plan().graph().clone();
-        let output = fitted.plan().output_node();
-        let row = TenantRow {
-            tenant: 0,
-            output,
-            fit_roots: fit_roots(&graph, output),
-            shared_nodes: 0,
-            sim_secs: secs,
-            solo_secs: secs,
-        };
-        return (
-            vec![fitted],
-            ForestReport {
-                shared: false,
-                solo_secs: vec![secs],
-                forest_secs: secs,
-                cross_merges: Vec::new(),
-                tenants: vec![row],
-                fit: None,
-                solo_reports: vec![report],
-            },
-        );
+    // One tenant has nothing to share, and OptLevel::None runs no CSE at
+    // all (per the options contract): go straight to solo fits.
+    if tenants.len() == 1 || opts.level == OptLevel::None {
+        return fit_sequential(tenants, ctx, opts);
     }
-
-    // OptLevel::None runs no CSE at all (per the options contract), so
-    // cross-pipeline sharing is off the table: go straight to solo fits.
-    if opts.level == OptLevel::None {
-        return fit_sequential(tenants, ctx, opts, Vec::new());
-    }
-
-    // Phase A: scratch-measure each tenant's solo cost.
-    let solo_secs: Vec<f64> = tenants
-        .iter()
-        .map(|t| {
-            let scratch = scratch_ctx(ctx);
-            let _ = t.fit(&scratch, opts);
-            scratch.sim.total_seconds()
-        })
-        .collect();
-    let total_solo: f64 = solo_secs.iter().sum();
-
-    // Phase B: scratch-measure the shared merged plan.
-    let scratch = scratch_ctx(ctx);
-    let _ = fit_shared(tenants, &scratch, opts);
-    let shared_secs = scratch.sim.total_seconds();
-
-    // Phase C: replay the winner on the real context.
-    if shared_secs < total_solo - 1e-9 {
-        let mark = ctx.sim.mark();
-        let (fitted, mut report) = fit_shared(tenants, ctx, opts);
-        report.forest_secs = ctx.sim.seconds_since(mark);
-        report.solo_secs = solo_secs.clone();
-        for (row, &solo) in report.tenants.iter_mut().zip(&solo_secs) {
-            row.solo_secs = solo;
-        }
-        if let Some(fit) = &mut report.fit {
-            fit.observability.tenants = report.tenants.clone();
-        }
-        (fitted, report)
-    } else {
-        fit_sequential(tenants, ctx, opts, solo_secs)
-    }
-}
-
-/// Fallback path: fit every tenant independently on the real context, in
-/// tenant order. Realized cost equals the scratch measurement exactly
-/// (deterministic execution), so `forest_secs == Σ solo_secs`.
-fn fit_sequential<A: Record, B: Record>(
-    tenants: &[Pipeline<A, B>],
-    ctx: &ExecContext,
-    opts: &PipelineOptions,
-    solo_hint: Vec<f64>,
-) -> (Vec<FittedPipeline<A, B>>, ForestReport) {
-    let mut fitted = Vec::new();
-    let mut reports = Vec::new();
-    let mut rows = Vec::new();
-    let mut measured = Vec::new();
-    for (i, t) in tenants.iter().enumerate() {
-        let mark = ctx.sim.mark();
-        let (f, r) = t.fit(ctx, opts);
-        let secs = ctx.sim.seconds_since(mark);
-        let output = f.plan().output_node();
-        rows.push(TenantRow {
-            tenant: i,
-            output,
-            fit_roots: fit_roots(f.plan().graph(), output),
-            shared_nodes: 0,
-            sim_secs: secs,
-            solo_secs: *solo_hint.get(i).unwrap_or(&secs),
-        });
-        measured.push(secs);
-        fitted.push(f);
-        reports.push(r);
-    }
-    let forest_secs: f64 = measured.iter().sum();
-    let solo_secs = if solo_hint.is_empty() {
-        measured
-    } else {
-        solo_hint
-    };
-    (
-        fitted,
-        ForestReport {
-            shared: false,
-            solo_secs,
-            forest_secs,
-            cross_merges: Vec::new(),
-            tenants: rows,
-            fit: None,
-            solo_reports: reports,
-        },
-    )
-}
-
-/// The shared path: merge the forest, optimize the merged graph once, and
-/// drive all tenants' estimator waves through one executor under the fair
-/// wave scheduler. Mirrors `Pipeline::fit` stage for stage, generalized to
-/// multiple outputs.
-fn fit_shared<A: Record, B: Record>(
-    tenants: &[Pipeline<A, B>],
-    ctx: &ExecContext,
-    opts: &PipelineOptions,
-) -> (Vec<FittedPipeline<A, B>>, ForestReport) {
-    let t0 = Instant::now();
 
     // 1. Cross-pipeline CSE over the concatenated snapshots.
+    let t0 = Instant::now();
     let graphs: Vec<(Graph, NodeId)> = tenants
         .iter()
         .map(|t| (t.graph_snapshot(), t.output_node()))
         .collect();
-    let merged = merge_forest(&graphs);
-    let mut graph = merged.graph;
-    let outputs = merged.outputs.clone();
-    // Ascending node-id order by construction of `merges`.
-    for m in &merged.merges {
+    let ForestMerge {
+        mut graph,
+        outputs,
+        eliminated,
+        merges,
+    } = merge_forest(&graphs);
+    let tenant_roots: Vec<Vec<NodeId>> = outputs.iter().map(|&o| fit_roots(&graph, o)).collect();
+    let mut all_roots: Vec<NodeId> = tenant_roots.iter().flatten().copied().collect();
+    all_roots.sort_unstable();
+    all_roots.dedup();
+
+    // 2. One profiling pass over the union of fit-relevant subgraphs, on a
+    // side ledger that `ctx` adopts only if the shared plan runs.
+    let probe = ExecContext {
+        sim: SimClock::new(),
+        tracer: Tracer::new(),
+        ..ctx.clone()
+    };
+    let popts = ProfileOptions {
+        select_operators: opts.level == OptLevel::Full,
+        ..opts.profile.clone()
+    };
+    let mut profile = profile_and_select(&mut graph, &all_roots, &probe, &popts);
+
+    // 3. Price both strategies on one forest `MatProblem`. Greedy caching
+    // prices each plan at the set it would pin; rule-based caching pins
+    // nothing. LRU residency depends on the access order, which the problem
+    // does not model, so LRU prices the shared plan at its upper bound
+    // (nothing cached) and each solo fit at its lower bound (everything
+    // cached): sharing then wins whatever LRU keeps.
+    let budget = opts
+        .mem_budget
+        .unwrap_or_else(|| ctx.resources.total_cache_bytes());
+    let problem = build_mat_problem(&graph, &profile, &all_roots);
+    let cache_set = match opts.caching {
+        CachingStrategy::Greedy => forest_cache_set(&problem, &tenant_roots, budget),
+        _ => HashSet::new(),
+    };
+    // Sets are chosen on `problem`, as each path's own optimizer would,
+    // but priced at what the executor charges: profiled seconds spread over
+    // the workers, plus whatever a node charges the clock itself — which
+    // replaces the profiled estimate for an estimator. Each plan also pays
+    // what its own profiling pass charged.
+    let workers = ctx.resources.workers.max(1) as f64;
+    let mut priced = problem.clone();
+    for (&id, charge) in &profile.self_charged {
+        let own = charge.per_exec_secs * workers;
+        let t = &mut priced.nodes[id].t_secs;
+        *t = match graph.nodes[id].kind {
+            NodeKind::Estimate(_) => own,
+            _ => *t + own,
+        };
+    }
+    let est_shared_secs = probe.sim.total_seconds() + priced.est_runtime(&cache_set) / workers;
+    let solo_secs: Vec<f64> = tenant_roots
+        .iter()
+        .map(|roots| {
+            let set = match opts.caching {
+                CachingStrategy::Greedy => {
+                    tenant_subproblem(&problem, roots).greedy_cache_set(budget)
+                }
+                CachingStrategy::RuleBased => HashSet::new(),
+                CachingStrategy::Lru { .. } => (0..problem.nodes.len()).collect(),
+            };
+            let profiling: f64 = graph
+                .topo_ancestors(roots)
+                .iter()
+                .filter_map(|v| profile.self_charged.get(v))
+                .map(|c| c.profiling_secs)
+                .sum();
+            profiling + tenant_subproblem(&priced, roots).est_runtime(&set) / workers
+        })
+        .collect();
+
+    // Relative margin: with nothing to share the two sums agree up to
+    // summation order, and a tie must fall back.
+    let total_solo: f64 = solo_secs.iter().sum();
+    if est_shared_secs >= total_solo * (1.0 - 1e-9) {
+        let (fitted, mut report) = fit_sequential(tenants, ctx, opts);
+        report.est_shared_secs = Some(est_shared_secs);
+        return (fitted, report);
+    }
+
+    // 4. The shared plan wins: the rest mirrors `Pipeline::fit` stage for
+    // stage, generalized to multiple outputs. Merge events first, in
+    // ascending node-id order by construction of `merges`, then the
+    // profiling pass's charges and events.
+    let mark = ctx.sim.mark();
+    for m in &merges {
         ctx.tracer.record(TraceEvent::CrossCseMerge {
             node: m.node,
             label: m.label.clone(),
@@ -576,65 +554,42 @@ fn fit_shared<A: Record, B: Record>(
         });
     }
     // Per-tenant shared-node counts, taken before fusion rewrites labels.
-    let ancestries: Vec<HashSet<NodeId>> = outputs.iter().map(|&o| graph.ancestors(&[o])).collect();
-    let shared_counts: Vec<usize> = ancestries
+    let shared_counts: Vec<usize> = outputs
         .iter()
-        .map(|anc| {
-            merged
-                .merges
-                .iter()
-                .filter(|m| anc.contains(&m.node))
-                .count()
+        .map(|&o| {
+            let anc = graph.ancestors(&[o]);
+            merges.iter().filter(|m| anc.contains(&m.node)).count()
         })
         .collect();
+    ctx.sim.append(&probe.sim);
+    ctx.tracer.append(&probe.tracer);
 
-    let tenant_roots: Vec<Vec<NodeId>> = outputs.iter().map(|&o| fit_roots(&graph, o)).collect();
-    let mut all_roots: Vec<NodeId> = tenant_roots.iter().flatten().copied().collect();
-    all_roots.sort_unstable();
-    all_roots.dedup();
-
-    // 2. One profiling pass over the union of fit-relevant subgraphs.
-    let popts = ProfileOptions {
-        select_operators: opts.level == OptLevel::Full,
-        ..opts.profile.clone()
-    };
-    let mut profile = profile_and_select(&mut graph, &all_roots, ctx, &popts);
-
-    // 3. Global greedy materialization under the one shared budget.
-    let budget = opts
-        .mem_budget
-        .unwrap_or_else(|| ctx.resources.total_cache_bytes());
+    // 5. Global materialization under the one shared budget.
     let observer = Arc::new(crate::trace::TraceCacheObserver(ctx.tracer.clone()));
-    let (cache, cache_set) = match (opts.level, opts.caching) {
-        (OptLevel::None, _) | (_, CachingStrategy::RuleBased) => (
-            CacheManager::new(0, CachePolicy::Pinned(HashSet::new())).with_observer(observer),
-            HashSet::new(),
-        ),
-        (_, CachingStrategy::Lru { admission_fraction }) => (
+    let cache = match opts.caching {
+        CachingStrategy::RuleBased => {
+            CacheManager::new(0, CachePolicy::Pinned(HashSet::new())).with_observer(observer)
+        }
+        CachingStrategy::Lru { admission_fraction } => {
             CacheManager::new(budget, CachePolicy::Lru { admission_fraction })
-                .with_observer(observer),
-            HashSet::new(),
-        ),
-        (_, CachingStrategy::Greedy) => {
-            let problem = build_mat_problem(&graph, &profile, &all_roots);
-            let set = forest_cache_set(&problem, &tenant_roots, budget);
-            let mut picks: Vec<usize> = set.iter().copied().collect();
+                .with_observer(observer)
+        }
+        CachingStrategy::Greedy => {
+            let mut picks: Vec<usize> = cache_set.iter().copied().collect();
             picks.sort_unstable();
             for &node in &picks {
-                let mut without = set.clone();
+                let mut without = cache_set.clone();
                 without.remove(&node);
                 ctx.tracer.record(TraceEvent::MaterializePick {
                     node,
                     label: graph.nodes[node].label.clone(),
-                    est_saving_secs: problem.est_runtime(&without) - problem.est_runtime(&set),
+                    est_saving_secs: problem.est_runtime(&without)
+                        - problem.est_runtime(&cache_set),
                     size_bytes: problem.nodes[node].size_bytes,
                 });
             }
-            let keys: HashSet<u64> = set.iter().map(|&v| v as u64).collect();
-            (
-                CacheManager::new(budget, CachePolicy::Pinned(keys)).with_observer(observer),
-                set,
-            )
+            let keys: HashSet<u64> = cache_set.iter().map(|&v| v as u64).collect();
+            CacheManager::new(budget, CachePolicy::Pinned(keys)).with_observer(observer)
         }
     };
     let choices: Vec<(String, String)> = profile
@@ -643,7 +598,7 @@ fn fit_shared<A: Record, B: Record>(
         .map(|(id, name)| (graph.nodes[*id].label.clone(), name.clone()))
         .collect();
 
-    // 3b. Whole-stage fusion with every tenant output as a barrier.
+    // 5b. Whole-stage fusion with every tenant output as a barrier.
     let mut fused: Vec<(NodeId, Vec<String>)> = Vec::new();
     let mut fused_nodes = 0;
     let mut columnar_chains = 0;
@@ -669,7 +624,7 @@ fn fit_shared<A: Record, B: Record>(
     }
     let optimize_secs = t0.elapsed().as_secs_f64();
 
-    // 4. Fair wave scheduling: every tenant's estimator waves interleave on
+    // 6. Fair wave scheduling: every tenant's estimator waves interleave on
     // one executor. A shared root appears in several tenants' wave lists;
     // the first wave computes it (charged to that tenant's lane) and later
     // waves hit the model memo — that asymmetry is the saving being
@@ -707,8 +662,8 @@ fn fit_shared<A: Record, B: Record>(
     ctx.sim.set_stage_prefix(None);
     let models = executor.models();
 
-    // 5. Per-tenant attribution rows from the SimClock lanes the stage tags
-    // produced.
+    // 7. Per-tenant attribution rows from the SimClock lanes the stage tags
+    // produced, next to each tenant's predicted solo cost.
     let lanes: HashMap<String, f64> = ctx.sim.by_stage().into_iter().collect();
     let rows: Vec<TenantRow> = (0..tenants.len())
         .map(|i| TenantRow {
@@ -717,7 +672,7 @@ fn fit_shared<A: Record, B: Record>(
             fit_roots: tenant_roots[i].clone(),
             shared_nodes: shared_counts[i],
             sim_secs: lanes.get(&format!("tenant{i}")).copied().unwrap_or(0.0),
-            solo_secs: 0.0, // filled by fit_forest from the scratch bench
+            solo_secs: solo_secs[i],
         })
         .collect();
 
@@ -730,7 +685,7 @@ fn fit_shared<A: Record, B: Record>(
     observability.tenants = rows.clone();
     let fit_report = FitReport {
         optimize_secs,
-        eliminated_nodes: merged.eliminated,
+        eliminated_nodes: eliminated,
         choices,
         fused,
         fused_nodes,
@@ -743,7 +698,7 @@ fn fit_shared<A: Record, B: Record>(
         observability,
     };
 
-    // 6. Every tenant gets a typed plan over the one shared graph, rooted at
+    // 8. Every tenant gets a typed plan over the one shared graph, rooted at
     // its own output. Models and profiles are shared Arcs — sharing the
     // artifact, not just the fit.
     let graph_arc = Arc::new(graph);
@@ -760,14 +715,61 @@ fn fit_shared<A: Record, B: Record>(
         .collect();
     let report = ForestReport {
         shared: true,
-        solo_secs: Vec::new(),
-        forest_secs: 0.0,
-        cross_merges: merged.merges,
+        solo_secs,
+        est_shared_secs: Some(est_shared_secs),
+        forest_secs: ctx.sim.seconds_since(mark),
+        fits_executed: 1,
+        cross_merges: merges,
         tenants: rows,
         fit: Some(fit_report),
         solo_reports: Vec::new(),
     };
     (fitted, report)
+}
+
+/// Fits every tenant alone on `ctx`, in tenant order, reporting each fit's
+/// measured cost: the fallback path, and the whole fit for one tenant or at
+/// [`OptLevel::None`].
+fn fit_sequential<A: Record, B: Record>(
+    tenants: &[Pipeline<A, B>],
+    ctx: &ExecContext,
+    opts: &PipelineOptions,
+) -> (Vec<FittedPipeline<A, B>>, ForestReport) {
+    let mut fitted = Vec::new();
+    let mut reports = Vec::new();
+    let mut rows = Vec::new();
+    let mut measured = Vec::new();
+    for (i, t) in tenants.iter().enumerate() {
+        let mark = ctx.sim.mark();
+        let (f, r) = t.fit(ctx, opts);
+        let secs = ctx.sim.seconds_since(mark);
+        let output = f.plan().output_node();
+        rows.push(TenantRow {
+            tenant: i,
+            output,
+            fit_roots: fit_roots(f.plan().graph(), output),
+            shared_nodes: 0,
+            sim_secs: secs,
+            solo_secs: secs,
+        });
+        measured.push(secs);
+        fitted.push(f);
+        reports.push(r);
+    }
+    (
+        fitted,
+        ForestReport {
+            shared: false,
+            forest_secs: measured.iter().sum(),
+            solo_secs: measured,
+            est_shared_secs: None,
+            fits_executed: tenants.len(),
+            cross_merges: Vec::new(),
+            tenants: rows,
+            fit: None,
+            solo_reports: reports,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -955,6 +957,95 @@ mod proptests {
             proptest::collection::vec(0usize..4, 0..5),
             proptest::collection::vec(proptest::collection::vec(0usize..4, 0..4), 2..5),
         )
+    }
+
+    /// Records the size of every training set it is fitted on: full-scale
+    /// fits see all of it, profiling fits only a sample.
+    struct CountingFit(Arc<parking_lot::Mutex<Vec<usize>>>);
+    impl Estimator<f64, f64> for CountingFit {
+        fn fit(
+            &self,
+            data: &DistCollection<f64>,
+            _ctx: &ExecContext,
+        ) -> Box<dyn Transformer<f64, f64>> {
+            self.0.lock().push(data.count());
+            Box::new(Id)
+        }
+    }
+
+    /// Options whose profiling samples (8 and 16 records) are smaller than
+    /// the 64-record training set, with a deterministic profiling clock.
+    fn sampled_opts() -> PipelineOptions {
+        PipelineOptions {
+            profile: ProfileOptions {
+                sizes: vec![8, 16],
+                deterministic_timing: true,
+                ..ProfileOptions::default()
+            },
+            ..PipelineOptions::pipe_only()
+        }
+    }
+
+    fn train64() -> DistCollection<f64> {
+        DistCollection::from_vec((0..64).map(f64::from).collect(), 2)
+    }
+
+    #[test]
+    fn shared_trunk_is_profiled_once_and_fitted_once() {
+        let trunk_fits = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let train = train64();
+        let trunk = Pipeline::<f64, f64>::input()
+            .and_then(Id)
+            .and_then_est(CountingFit(trunk_fits.clone()), &train);
+        let tenants: Vec<Pipeline<f64, f64>> = (0..3)
+            .map(|_| trunk.and_then(Id).and_then_est(MeanEst, &train))
+            .collect();
+        let ctx = ExecContext::default_cluster();
+        let (fitted, report) = fit_forest(&tenants, &ctx, &sampled_opts());
+        assert_eq!(fitted.len(), 3);
+        assert!(
+            report.shared,
+            "the shared trunk estimator makes sharing cheaper"
+        );
+        assert_eq!(report.fits_executed, 1);
+        // One profiling pass (one fit per sample size), one full-scale fit.
+        assert_eq!(*trunk_fits.lock(), vec![8, 16, 64]);
+        let est = report.est_shared_secs.expect("the shared path is priced");
+        assert!(est < report.total_solo_secs());
+        assert!(report.forest_secs <= report.total_solo_secs());
+    }
+
+    #[test]
+    fn fallback_ledger_equals_sequential_solo_fits() {
+        // Independent graphs: nothing to share, so the forest falls back.
+        let train = train64();
+        let tenants: Vec<Pipeline<f64, f64>> = (0..3)
+            .map(|_| {
+                Pipeline::<f64, f64>::input()
+                    .and_then(Id)
+                    .and_then_est(MeanEst, &train)
+            })
+            .collect();
+        let opts = sampled_opts();
+        let forest_ctx = ExecContext::default_cluster();
+        let (_, report) = fit_forest(&tenants, &forest_ctx, &opts);
+        assert!(!report.shared);
+        assert_eq!(report.fits_executed, 3);
+        assert!(report.est_shared_secs.is_some());
+
+        let solo_ctx = ExecContext::default_cluster();
+        for t in &tenants {
+            let _ = t.fit(&solo_ctx, &opts);
+        }
+        let a = forest_ctx.sim.entries();
+        let b = solo_ctx.sim.entries();
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.stage, y.stage);
+            assert_eq!(x.exec_secs.to_bits(), y.exec_secs.to_bits());
+        }
+        assert_eq!(forest_ctx.tracer.len(), solo_ctx.tracer.len());
+        assert_eq!(report.forest_secs, report.total_solo_secs());
     }
 
     proptest! {

@@ -56,6 +56,21 @@ pub struct PipelineProfile {
     pub nodes: HashMap<NodeId, NodeProfile>,
     /// `(node, chosen physical operator)` decisions.
     pub choices: Vec<(NodeId, String)>,
+    /// What each node charged the simulated clock *itself* (solvers price
+    /// their own work) on the samples. Nodes that charged nothing are
+    /// absent.
+    pub self_charged: HashMap<NodeId, SelfCharge>,
+}
+
+/// Simulated seconds a node charges the clock itself, on top of what the
+/// executor charges from its profile.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SelfCharge {
+    /// Charged while the node was profiled, all sample passes together.
+    pub profiling_secs: f64,
+    /// Predicted per full-scale execution, extrapolated from the samples
+    /// like the timings.
+    pub per_exec_secs: f64,
 }
 
 /// Profiling options.
@@ -157,6 +172,14 @@ pub fn profile_and_select(
         .unwrap_or_default();
     let topo = graph.topo_ancestors(roots);
     let mut measurements: HashMap<NodeId, Vec<Measurement>> = HashMap::new();
+    let mut charges: HashMap<NodeId, Vec<Measurement>> = HashMap::new();
+    let mut charged_since = |id: NodeId, in_records: usize, mark: usize| {
+        charges.entry(id).or_default().push(Measurement {
+            in_records,
+            secs: ctx.sim.seconds_since(mark),
+            ..Measurement::default()
+        });
+    };
     let mut scales: HashMap<NodeId, f64> = HashMap::new();
     let mut full_counts: HashMap<NodeId, usize> = HashMap::new();
     let mut sample_stats: HashMap<NodeId, DataStats> = HashMap::new();
@@ -226,7 +249,9 @@ pub fn profile_and_select(
                     };
                     let in_records = inputs[0].stats().count;
                     let start = Instant::now();
+                    let mark = ctx.sim.mark();
                     let out = op.apply_any(&inputs, ctx);
+                    charged_since(id, in_records, mark);
                     let secs = if opts.deterministic_timing {
                         synthetic_secs(&graph.nodes[id].label, in_records)
                     } else {
@@ -285,7 +310,9 @@ pub fn profile_and_select(
                         handles.iter().map(|h| h as &dyn InputHandle).collect();
                     let in_records = outputs[&node.inputs[0]].stats().count;
                     let start = Instant::now();
+                    let mark = ctx.sim.mark();
                     let model = op.fit_any(&handle_refs, ctx);
+                    charged_since(id, in_records, mark);
                     let secs = if opts.deterministic_timing {
                         synthetic_secs(&graph.nodes[id].label, in_records)
                     } else {
@@ -311,7 +338,9 @@ pub fn profile_and_select(
                     let scale = scales.get(&node.inputs[1]).copied().unwrap_or(1.0);
                     let in_records = data.stats().count;
                     let start = Instant::now();
+                    let mark = ctx.sim.mark();
                     let out = model.apply_any(&[data], ctx);
+                    charged_since(id, in_records, mark);
                     let secs = if opts.deterministic_timing {
                         synthetic_secs(&graph.nodes[id].label, in_records)
                     } else {
@@ -354,6 +383,20 @@ pub fn profile_and_select(
                 out_stats,
             },
         );
+    }
+    for (id, ms) in &charges {
+        let profiling_secs: f64 = ms.iter().map(|m| m.secs).sum();
+        if profiling_secs > 0.0 {
+            let (slope, intercept) = linear_fit(ms);
+            let records = profile.nodes.get(id).map_or(0, |p| p.records_hint);
+            profile.self_charged.insert(
+                *id,
+                SelfCharge {
+                    profiling_secs,
+                    per_exec_secs: intercept + slope * records as f64,
+                },
+            );
+        }
     }
     profile
 }

@@ -112,7 +112,8 @@ pub struct TenantRow {
     pub shared_nodes: usize,
     /// Simulated seconds charged to this tenant's lane during the fit.
     pub sim_secs: f64,
-    /// Scratch-measured simulated seconds a solo fit of this tenant costs.
+    /// Simulated seconds a solo fit of this tenant costs: predicted when
+    /// the forest shared its plan, measured when it fell back to solo fits.
     pub solo_secs: f64,
 }
 

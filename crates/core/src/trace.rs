@@ -346,6 +346,13 @@ impl Tracer {
         self.events.lock().push(event);
     }
 
+    /// Appends every event of `other`, in order — how a side tracer's
+    /// events are adopted once the work they describe is kept.
+    pub fn append(&self, other: &Tracer) {
+        let events = other.events.lock().clone();
+        self.events.lock().extend(events);
+    }
+
     /// Number of recorded events.
     pub fn len(&self) -> usize {
         self.events.lock().len()

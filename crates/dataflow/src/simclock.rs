@@ -75,6 +75,15 @@ impl SimClock {
         });
     }
 
+    /// Appends every entry of `other`'s ledger to this one, in order, under
+    /// this clock's ambient prefix — how a side ledger's charges are adopted
+    /// once the work they priced is kept.
+    pub fn append(&self, other: &SimClock) {
+        for e in other.entries() {
+            self.charge_seconds(&e.stage, e.exec_secs, e.coord_secs);
+        }
+    }
+
     /// Total simulated seconds.
     pub fn total_seconds(&self) -> f64 {
         self.entries
@@ -210,6 +219,19 @@ mod tests {
             stages,
             vec![("fit".to_string(), 9.0), ("tenant0".to_string(), 6.0)]
         );
+    }
+
+    #[test]
+    fn append_adopts_a_side_ledger_in_order() {
+        let side = SimClock::new();
+        side.charge_seconds("profile:a", 1.0, 0.5);
+        side.charge_seconds("profile:b", 2.0, 0.0);
+        let clock = SimClock::new();
+        clock.charge_seconds("before", 4.0, 0.0);
+        clock.append(&side);
+        let stages: Vec<String> = clock.entries().into_iter().map(|e| e.stage).collect();
+        assert_eq!(stages, vec!["before", "profile:a", "profile:b"]);
+        assert!((clock.total_seconds() - 7.5).abs() < 1e-12);
     }
 
     #[test]

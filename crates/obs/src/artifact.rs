@@ -551,7 +551,7 @@ impl RunArtifact {
     ) -> RunArtifact {
         let profile = PipelineProfile {
             nodes: plan.profiles().clone(),
-            choices: Vec::new(),
+            ..PipelineProfile::default()
         };
         let report = PipelineReport::build_with_metrics(
             plan.graph(),
@@ -573,7 +573,7 @@ impl RunArtifact {
     ) -> RunArtifact {
         let profile = PipelineProfile {
             nodes: plan.profiles().clone(),
-            choices: Vec::new(),
+            ..PipelineProfile::default()
         };
         let report = PipelineReport::build_with_metrics(
             plan.graph(),

@@ -16,8 +16,8 @@
 //! single `Pipeline::input()` handle, then 2–4 divergent tenant heads each
 //! ending in at least one estimator. Only truthfully-declared operators are
 //! drawn — cost mis-declaration is a different axis ([`crate::oracle`]) and
-//! would make per-cell *analytic* cost comparisons meaningless, though the
-//! measure-then-choose forest fit tolerates it by construction.
+//! would make per-cell *analytic* cost comparisons meaningless, including
+//! the one the forest fit itself makes to choose between its plans.
 
 use keystone_core::context::ExecContext;
 use keystone_core::optimizer::{fit_forest, CachingStrategy, PipelineOptions};
