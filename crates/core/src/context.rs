@@ -4,7 +4,6 @@ use keystone_dataflow::cluster::{ClusterProfile, ResourceDesc};
 use keystone_dataflow::faults::FaultPlan;
 use keystone_dataflow::metrics::MetricsRegistry;
 use keystone_dataflow::simclock::SimClock;
-use keystone_dataflow::stats::ExecStats;
 
 use crate::trace::Tracer;
 
@@ -20,8 +19,6 @@ pub struct ExecContext {
     pub resources: ResourceDesc,
     /// Simulated cluster clock.
     pub sim: SimClock,
-    /// Wall-clock stage ledger.
-    pub wall: ExecStats,
     /// Structured event sink for optimizer and executor decisions.
     pub tracer: Tracer,
     /// Partition-level task spans, counters and histograms. The executor
@@ -41,7 +38,6 @@ impl ExecContext {
         ExecContext {
             resources,
             sim: SimClock::new(),
-            wall: ExecStats::new(),
             tracer: Tracer::new(),
             metrics: MetricsRegistry::new(),
             faults: None,
@@ -78,7 +74,6 @@ impl ExecContext {
         ExecContext {
             resources: self.resources.with_workers(workers),
             sim: self.sim.clone(),
-            wall: self.wall.clone(),
             tracer: self.tracer.clone(),
             metrics: self.metrics.clone(),
             faults: self.faults.clone(),

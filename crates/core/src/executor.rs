@@ -74,7 +74,7 @@ pub struct Executor<'g> {
     /// cache/memo) — the measured counterpart of the paper's `C(v)`.
     eval_counts: Mutex<HashMap<NodeId, u64>>,
     /// Stage-label prefix for multi-tenant attribution: when set, every
-    /// node's trace/sim/wall label becomes `{tag}:transform:{label}` etc.,
+    /// node's trace/sim label becomes `{tag}:transform:{label}` etc.,
     /// so [`SimClock::by_stage`](keystone_dataflow::simclock::SimClock)
     /// groups charges into per-tenant lanes. `None` (the default) keeps
     /// labels byte-identical to single-tenant runs. Mutable mid-run so the
@@ -334,11 +334,7 @@ impl<'g> Executor<'g> {
                 let start = std::time::Instant::now();
                 // Task scope: every DistCollection operation inside the
                 // operator emits per-partition spans attributed to this node.
-                let out = self.scoped(&label, node, || {
-                    self.ctx
-                        .wall
-                        .time(&label, in_count as u64, || op.apply_any(&inputs, &self.ctx))
-                });
+                let out = self.scoped(&label, node, || op.apply_any(&inputs, &self.ctx));
                 let wall_secs = start.elapsed().as_secs_f64();
                 self.charge_sim(node, &label, in_count, wall_secs);
                 self.ctx.tracer.node_end(
@@ -373,11 +369,7 @@ impl<'g> Executor<'g> {
                 // the fit's own collection work is attributed here. Inner
                 // nodes likewise run their own recovery accounting.
                 self.nested_charges.lock().push(0);
-                let model = self.scoped(&label, node, || {
-                    self.ctx
-                        .wall
-                        .time(&label, 0, || op.fit_any(&handle_refs, &self.ctx))
-                });
+                let model = self.scoped(&label, node, || op.fit_any(&handle_refs, &self.ctx));
                 let nested = self.nested_charges.lock().pop().unwrap_or(0);
                 let wall_secs = start.elapsed().as_secs_f64();
                 // If the estimator didn't charge the simulated clock itself
@@ -412,11 +404,7 @@ impl<'g> Executor<'g> {
                 let sim_mark = self.ctx.sim.mark();
                 let span_mark = self.ctx.metrics.span_count();
                 let start = std::time::Instant::now();
-                let out = self.scoped(&label, node, || {
-                    self.ctx.wall.time(&label, in_count as u64, || {
-                        model.apply_any(&[data], &self.ctx)
-                    })
-                });
+                let out = self.scoped(&label, node, || model.apply_any(&[data], &self.ctx));
                 let wall_secs = start.elapsed().as_secs_f64();
                 self.charge_sim(node, &label, in_count, wall_secs);
                 self.ctx.tracer.node_end(
@@ -865,14 +853,25 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_records_stages() {
+    fn node_end_records_wall_clock_per_eval() {
         let calls = Arc::new(AtomicU64::new(0));
         let (g, _src, t) = chain_graph(calls);
         let ctx = ExecContext::default_cluster();
         let exec = Executor::new(&g, ctx.clone(), no_cache());
         let _ = exec.eval(t);
-        assert!(ctx.wall.seconds_for_prefix("transform:double") >= 0.0);
-        assert_eq!(ctx.wall.snapshot().len(), 1);
+        let ends: Vec<f64> = ctx
+            .tracer
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.event {
+                TraceEvent::NodeEnd {
+                    label, wall_secs, ..
+                } if label == "transform:double" => Some(wall_secs),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ends.len(), 1);
+        assert!(ends[0] >= 0.0);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! [`chrome_trace_json_with`], which renders them as a third process
 //! (`pid 3`, "serving (virtual)") on virtual-time lanes.
 
-use keystone_dataflow::metrics::{chrome_trace_json_with, ChromeArg, ChromeExtra};
+use keystone_dataflow::json::JVal;
+use keystone_dataflow::metrics::{chrome_trace_json_with, ChromeExtra};
 
 use crate::context::ExecContext;
 use crate::trace::TraceEvent;
@@ -43,9 +44,9 @@ pub fn serving_extras(ctx: &ExecContext) -> Vec<ChromeExtra> {
                     start_us: (open_secs * 1e6).max(0.0) as u64,
                     dur_us: ((linger_secs + execute_secs) * 1e6).max(0.0) as u64,
                     args: vec![
-                        ("size".to_string(), ChromeArg::Num(size as f64)),
-                        ("linger_secs".to_string(), ChromeArg::Num(linger_secs)),
-                        ("execute_secs".to_string(), ChromeArg::Num(execute_secs)),
+                        ("size".to_string(), JVal::UInt(size as u64)),
+                        ("linger_secs".to_string(), JVal::Num(linger_secs)),
+                        ("execute_secs".to_string(), JVal::Num(execute_secs)),
                     ],
                 });
             }
@@ -60,11 +61,8 @@ pub fn serving_extras(ctx: &ExecContext) -> Vec<ChromeExtra> {
                     start_us: (at_secs * 1e6).max(0.0) as u64,
                     dur_us: 0,
                     args: vec![
-                        ("request".to_string(), ChromeArg::Num(request as f64)),
-                        (
-                            "queue_depth".to_string(),
-                            ChromeArg::Num(queue_depth as f64),
-                        ),
+                        ("request".to_string(), JVal::UInt(request)),
+                        ("queue_depth".to_string(), JVal::UInt(queue_depth as u64)),
                     ],
                 });
             }

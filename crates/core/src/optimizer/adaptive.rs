@@ -40,6 +40,7 @@ use std::sync::Arc;
 
 use keystone_dataflow::cache::CacheManager;
 use keystone_dataflow::cluster::ResourceDesc;
+use keystone_dataflow::json::JVal;
 use keystone_dataflow::metrics::TaskSpan;
 use keystone_dataflow::simclock::SimClock;
 use parking_lot::Mutex;
@@ -122,47 +123,32 @@ impl AdaptationReport {
 
     /// Deterministic JSON rendering (golden-pinned wire format).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"recalibrations\":{}", self.recalibrations));
-        out.push_str(",\"revisions\":[");
-        for (i, r) in self.revisions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"wave\":{},\"promoted\":[{}],\"evicted\":[{}],\"predicted_saving_secs\":{}}}",
-                r.wave,
-                ids_csv(&r.promoted),
-                ids_csv(&r.evicted),
-                json_f64(r.predicted_saving_secs),
-            ));
-        }
-        out.push(']');
-        out.push_str(&format!(
-            ",\"decision_secs\":{}",
-            json_f64(self.decision_secs)
-        ));
-        out.push('}');
-        out
+        self.to_jval().render()
     }
-}
 
-fn ids_csv(ids: &[NodeId]) -> String {
-    ids.iter()
-        .map(|i| i.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Same float convention as the report renderer: integral finite values
-/// keep a trailing `.0`, non-finite values become `null`.
-fn json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        "null".to_string()
-    } else if v == v.trunc() {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
+    /// The report as a JSON value; the run artifact embeds it as its
+    /// `adaptation` section.
+    pub fn to_jval(&self) -> JVal {
+        JVal::obj(vec![
+            ("recalibrations", JVal::UInt(self.recalibrations)),
+            (
+                "revisions",
+                JVal::Arr(
+                    self.revisions
+                        .iter()
+                        .map(|r| {
+                            JVal::obj(vec![
+                                ("wave", JVal::UInt(r.wave)),
+                                ("promoted", JVal::uints(&r.promoted)),
+                                ("evicted", JVal::uints(&r.evicted)),
+                                ("predicted_saving_secs", JVal::Num(r.predicted_saving_secs)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            ("decision_secs", JVal::Num(self.decision_secs)),
+        ])
     }
 }
 
@@ -760,15 +746,24 @@ mod tests {
         };
         assert_eq!(
             report.to_json(),
-            "{\"recalibrations\":2,\"revisions\":[{\"wave\":1,\"promoted\":[3,5],\
-             \"evicted\":[1],\"predicted_saving_secs\":12.5}],\"decision_secs\":0.000000001}"
+            "{\"decision_secs\":0.000000001,\"recalibrations\":2,\"revisions\":[{\"evicted\":[1],\
+             \"predicted_saving_secs\":12.5,\"promoted\":[3,5],\"wave\":1}]}"
         );
         assert_eq!(report.promoted(), vec![3, 5]);
         assert_eq!(report.evicted(), vec![1]);
         let empty = AdaptationReport::default();
         assert_eq!(
             empty.to_json(),
-            "{\"recalibrations\":0,\"revisions\":[],\"decision_secs\":0.0}"
+            "{\"decision_secs\":0.0,\"recalibrations\":0,\"revisions\":[]}"
         );
+        // Values beyond 2^53 print shortest round-trip digits, the same as
+        // every other document the workspace writes.
+        let huge = AdaptationReport {
+            decision_secs: 1.2345678901234568e20,
+            ..AdaptationReport::default()
+        };
+        assert!(huge
+            .to_json()
+            .contains("\"decision_secs\":123456789012345680000.0"));
     }
 }

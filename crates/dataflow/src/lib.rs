@@ -29,7 +29,9 @@
 //! * [`faults::FaultPlan`] — deterministic, seeded fault injection (task
 //!   failures, stragglers, cache-entry loss) that the executor's recovery
 //!   machinery — bounded retry, speculative re-execution, lineage
-//!   recompute — is tested against.
+//!   recompute — is tested against;
+//! * [`json::JVal`] — the one JSON codec every report, trace, artifact and
+//!   bench snapshot in the workspace is written and read with.
 
 pub mod cache;
 pub mod cluster;
@@ -37,9 +39,9 @@ pub mod collection;
 pub mod columnar;
 pub mod cost;
 pub mod faults;
+pub mod json;
 pub mod metrics;
 pub mod simclock;
-pub mod stats;
 
 /// Tiny seed-splitting helper shared by deterministic samplers.
 pub(crate) mod rng_util {

@@ -27,8 +27,8 @@
 //!   ÷ lane span).
 //! * [`chrome_trace_json`] — a Chrome trace-event (Perfetto-loadable) JSON
 //!   export rendering real worker lanes and the simulated-cluster stage
-//!   ledger side by side as two process groups. Hand-rolled JSON, like the
-//!   report writer in `keystone-core` (no registry access, no serde).
+//!   ledger side by side as two process groups, rendered with
+//!   [`crate::json`].
 
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -38,6 +38,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::faults::FaultPlan;
+use crate::json::JVal;
 use crate::simclock::SimClock;
 
 /// One partition's work inside one stage: the physical-task record the
@@ -255,7 +256,7 @@ struct RegistryInner {
 
 /// Shared partition-metrics sink. Cloning shares the underlying ledgers, so
 /// collection operations deep inside operators record into the same registry
-/// the driver reads — the same ownership model as `SimClock` / `ExecStats`.
+/// the driver reads — the same ownership model as `SimClock`.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     inner: Arc<RegistryInner>,
@@ -614,15 +615,6 @@ pub fn current_task_scope() -> Option<TaskScope> {
     SCOPES.with(|s| s.borrow().last().cloned())
 }
 
-/// One argument value on a [`ChromeExtra`] event.
-#[derive(Debug, Clone)]
-pub enum ChromeArg {
-    /// A JSON number.
-    Num(f64),
-    /// A JSON string.
-    Str(String),
-}
-
 /// A caller-supplied complete (`"ph":"X"`) event rendered on the third
 /// process group (`pid 3`, "serving (virtual)") of
 /// [`chrome_trace_json_with`]. The node-level tracer in `keystone-core`
@@ -640,8 +632,8 @@ pub struct ChromeExtra {
     pub start_us: u64,
     /// Duration, microseconds of virtual time (0 renders as an instant).
     pub dur_us: u64,
-    /// `args` payload, in the given order.
-    pub args: Vec<(String, ChromeArg)>,
+    /// `args` payload.
+    pub args: Vec<(String, JVal)>,
 }
 
 /// Serializes the registry's task spans and a [`SimClock`] ledger as a
@@ -673,415 +665,131 @@ pub fn chrome_trace_json_with(
     extras: &[ChromeExtra],
 ) -> String {
     let spans = registry.spans();
-    let mut out = String::with_capacity(256 + spans.len() * 160);
-    out.push('[');
-    let mut first = true;
-    let mut push = |out: &mut String, ev: String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&ev);
-    };
-
-    push(
-        &mut out,
-        meta_event("process_name", 1, None, "workers (measured)"),
-    );
+    let mut events = vec![meta_event("process_name", 1, None, "workers (measured)")];
     let mut lanes: Vec<usize> = spans.iter().map(|s| s.worker).collect();
     lanes.sort_unstable();
     lanes.dedup();
     for lane in &lanes {
-        push(
-            &mut out,
-            meta_event(
-                "thread_name",
-                1,
-                Some(*lane as u64),
-                &format!("worker-{lane}"),
-            ),
-        );
+        events.push(meta_event(
+            "thread_name",
+            1,
+            Some(*lane as u64),
+            &format!("worker-{lane}"),
+        ));
     }
     for s in &spans {
-        let mut ev = String::with_capacity(160);
-        ev.push_str("{\"name\":");
-        json_string(&mut ev, &format!("{}[p{}]", s.stage, s.partition));
-        ev.push_str(",\"cat\":");
-        json_string(&mut ev, s.op);
-        ev.push_str(",\"ph\":\"X\",\"pid\":1,\"tid\":");
-        ev.push_str(&s.worker.to_string());
-        ev.push_str(",\"ts\":");
-        ev.push_str(&s.start_us.to_string());
-        ev.push_str(",\"dur\":");
-        ev.push_str(&s.end_us.saturating_sub(s.start_us).to_string());
-        ev.push_str(",\"args\":{\"partition\":");
-        ev.push_str(&s.partition.to_string());
-        ev.push_str(",\"items_in\":");
-        ev.push_str(&s.items_in.to_string());
-        ev.push_str(",\"items_out\":");
-        ev.push_str(&s.items_out.to_string());
-        ev.push_str(",\"bytes\":");
-        ev.push_str(&s.bytes.to_string());
-        ev.push_str(",\"retries\":");
-        ev.push_str(&s.retries.to_string());
-        ev.push_str(",\"speculative\":");
-        ev.push_str(if s.speculative { "true" } else { "false" });
-        ev.push_str("}}");
-        push(&mut out, ev);
+        events.push(complete_event(
+            &format!("{}[p{}]", s.stage, s.partition),
+            s.op,
+            (1, s.worker as u64),
+            s.start_us,
+            s.end_us.saturating_sub(s.start_us),
+            JVal::obj(vec![
+                ("partition", JVal::UInt(s.partition as u64)),
+                ("items_in", JVal::UInt(s.items_in)),
+                ("items_out", JVal::UInt(s.items_out)),
+                ("bytes", JVal::UInt(s.bytes)),
+                ("retries", JVal::UInt(s.retries as u64)),
+                ("speculative", JVal::Bool(s.speculative)),
+            ]),
+        ));
     }
 
-    push(
-        &mut out,
-        meta_event("process_name", 2, None, "simulated cluster"),
-    );
+    events.push(meta_event("process_name", 2, None, "simulated cluster"));
     let timeline = sim.timeline();
     // One simulated thread per stage prefix, in first-seen order.
-    let mut sim_tids: Vec<String> = Vec::new();
-    let tid_of = |stage: &str, sim_tids: &mut Vec<String>| -> u64 {
-        let prefix = stage.split(':').next().unwrap_or(stage).to_string();
-        match sim_tids.iter().position(|p| p == &prefix) {
-            Some(i) => i as u64,
-            None => {
-                sim_tids.push(prefix);
-                (sim_tids.len() - 1) as u64
-            }
-        }
-    };
+    let mut sim_tids: Vec<&str> = Vec::new();
     let mut sim_events = Vec::with_capacity(timeline.len());
     for (start_secs, e) in &timeline {
-        let tid = tid_of(&e.stage, &mut sim_tids);
-        let cursor_us = (start_secs * 1e6).max(0.0) as u64;
-        let dur_us = ((e.exec_secs + e.coord_secs) * 1e6).max(0.0) as u64;
-        let mut ev = String::with_capacity(160);
-        ev.push_str("{\"name\":");
-        json_string(&mut ev, &e.stage);
-        ev.push_str(",\"cat\":\"sim\",\"ph\":\"X\",\"pid\":2,\"tid\":");
-        ev.push_str(&tid.to_string());
-        ev.push_str(",\"ts\":");
-        ev.push_str(&cursor_us.to_string());
-        ev.push_str(",\"dur\":");
-        ev.push_str(&dur_us.to_string());
-        ev.push_str(",\"args\":{\"exec_secs\":");
-        json_f64(&mut ev, e.exec_secs);
-        ev.push_str(",\"coord_secs\":");
-        json_f64(&mut ev, e.coord_secs);
-        ev.push_str("}}");
-        sim_events.push(ev);
+        let prefix = e.stage.split(':').next().unwrap_or(&e.stage);
+        let tid = lane_tid(&mut sim_tids, prefix);
+        sim_events.push(complete_event(
+            &e.stage,
+            "sim",
+            (2, tid),
+            (start_secs * 1e6).max(0.0) as u64,
+            ((e.exec_secs + e.coord_secs) * 1e6).max(0.0) as u64,
+            JVal::obj(vec![
+                ("exec_secs", JVal::Num(e.exec_secs)),
+                ("coord_secs", JVal::Num(e.coord_secs)),
+            ]),
+        ));
     }
     for (i, prefix) in sim_tids.iter().enumerate() {
-        push(
-            &mut out,
-            meta_event("thread_name", 2, Some(i as u64), &format!("sim:{prefix}")),
-        );
+        events.push(meta_event(
+            "thread_name",
+            2,
+            Some(i as u64),
+            &format!("sim:{prefix}"),
+        ));
     }
-    for ev in sim_events {
-        push(&mut out, ev);
-    }
+    events.extend(sim_events);
 
     if !extras.is_empty() {
-        push(
-            &mut out,
-            meta_event("process_name", 3, None, "serving (virtual)"),
-        );
+        events.push(meta_event("process_name", 3, None, "serving (virtual)"));
         let mut lanes: Vec<&str> = Vec::new();
         let mut lane_events = Vec::with_capacity(extras.len());
         for e in extras {
-            let tid = match lanes.iter().position(|l| *l == e.lane) {
-                Some(i) => i as u64,
-                None => {
-                    lanes.push(&e.lane);
-                    (lanes.len() - 1) as u64
-                }
-            };
-            let mut ev = String::with_capacity(160);
-            ev.push_str("{\"name\":");
-            json_string(&mut ev, &e.name);
-            ev.push_str(",\"cat\":\"serve\",\"ph\":\"X\",\"pid\":3,\"tid\":");
-            ev.push_str(&tid.to_string());
-            ev.push_str(",\"ts\":");
-            ev.push_str(&e.start_us.to_string());
-            ev.push_str(",\"dur\":");
-            ev.push_str(&e.dur_us.to_string());
-            ev.push_str(",\"args\":{");
-            for (i, (k, v)) in e.args.iter().enumerate() {
-                if i > 0 {
-                    ev.push(',');
-                }
-                json_string(&mut ev, k);
-                ev.push(':');
-                match v {
-                    ChromeArg::Num(n) => json_f64(&mut ev, *n),
-                    ChromeArg::Str(s) => json_string(&mut ev, s),
-                }
-            }
-            ev.push_str("}}");
-            lane_events.push(ev);
+            let tid = lane_tid(&mut lanes, &e.lane);
+            lane_events.push(complete_event(
+                &e.name,
+                "serve",
+                (3, tid),
+                e.start_us,
+                e.dur_us,
+                JVal::Obj(e.args.clone()),
+            ));
         }
         for (i, lane) in lanes.iter().enumerate() {
-            push(&mut out, meta_event("thread_name", 3, Some(i as u64), lane));
+            events.push(meta_event("thread_name", 3, Some(i as u64), lane));
         }
-        for ev in lane_events {
-            push(&mut out, ev);
-        }
+        events.extend(lane_events);
     }
-
-    out.push(']');
-    out
+    JVal::Arr(events).render()
 }
 
-fn meta_event(name: &str, pid: u64, tid: Option<u64>, value: &str) -> String {
-    let mut ev = String::with_capacity(96);
-    ev.push_str("{\"name\":");
-    json_string(&mut ev, name);
-    ev.push_str(",\"ph\":\"M\",\"pid\":");
-    ev.push_str(&pid.to_string());
+/// The tid of `lane` within its process: its index in first-seen order.
+fn lane_tid<'a>(lanes: &mut Vec<&'a str>, lane: &'a str) -> u64 {
+    match lanes.iter().position(|l| *l == lane) {
+        Some(i) => i as u64,
+        None => {
+            lanes.push(lane);
+            (lanes.len() - 1) as u64
+        }
+    }
+}
+
+fn complete_event(
+    name: &str,
+    cat: &str,
+    (pid, tid): (u64, u64),
+    ts: u64,
+    dur: u64,
+    args: JVal,
+) -> JVal {
+    JVal::obj(vec![
+        ("name", JVal::str(name)),
+        ("cat", JVal::str(cat)),
+        ("ph", JVal::str("X")),
+        ("pid", JVal::UInt(pid)),
+        ("tid", JVal::UInt(tid)),
+        ("ts", JVal::UInt(ts)),
+        ("dur", JVal::UInt(dur)),
+        ("args", args),
+    ])
+}
+
+fn meta_event(name: &str, pid: u64, tid: Option<u64>, value: &str) -> JVal {
+    let mut pairs = vec![
+        ("name", JVal::str(name)),
+        ("ph", JVal::str("M")),
+        ("pid", JVal::UInt(pid)),
+        ("args", JVal::obj(vec![("name", JVal::str(value))])),
+    ];
     if let Some(tid) = tid {
-        ev.push_str(",\"tid\":");
-        ev.push_str(&tid.to_string());
+        pairs.push(("tid", JVal::UInt(tid)));
     }
-    ev.push_str(",\"args\":{\"name\":");
-    json_string(&mut ev, value);
-    ev.push_str("}}");
-    ev
-}
-
-fn json_f64(s: &mut String, v: f64) {
-    if v.is_finite() {
-        let formatted = format!("{}", v);
-        s.push_str(&formatted);
-        if !formatted.contains('.') && !formatted.contains('e') {
-            s.push_str(".0");
-        }
-    } else {
-        s.push_str("null");
-    }
-}
-
-fn json_string(s: &mut String, v: &str) {
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
-/// Minimal JSON reader used by tests to *parse* (not just balance-check)
-/// exported traces: builds a DOM of nested values without external crates.
-#[doc(hidden)]
-pub mod microjson {
-    use std::collections::HashMap;
-
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any JSON number.
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object.
-        Obj(HashMap<String, Value>),
-    }
-
-    impl Value {
-        /// The value at `key` of an object.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(m) => m.get(key),
-                _ => None,
-            }
-        }
-
-        /// Numeric payload.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// String payload.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// Array payload.
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses a complete JSON document; `Err` carries the byte offset of the
-    /// first syntax error.
-    pub fn parse(input: &str) -> Result<Value, usize> {
-        let bytes = input.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(pos);
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, usize> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => parse_obj(b, pos),
-            Some(b'[') => parse_arr(b, pos),
-            Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
-            Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-            Some(_) => parse_num(b, pos),
-            None => Err(*pos),
-        }
-    }
-
-    fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, usize> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(v)
-        } else {
-            Err(*pos)
-        }
-    }
-
-    fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, usize> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-            *pos += 1;
-        }
-        std::str::from_utf8(&b[start..*pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or(start)
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, usize> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(*pos);
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos).ok_or(*pos)? {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match b.get(*pos).ok_or(*pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = b.get(*pos + 1..*pos + 5).ok_or(*pos)?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| *pos)?,
-                                16,
-                            )
-                            .map_err(|_| *pos)?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        _ => return Err(*pos),
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| *pos)?;
-                    let c = rest.chars().next().ok_or(*pos)?;
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, usize> {
-        *pos += 1; // '['
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(*pos),
-            }
-        }
-    }
-
-    fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, usize> {
-        *pos += 1; // '{'
-        let mut map = HashMap::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(map));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = parse_string(b, pos)?;
-            skip_ws(b, pos);
-            if b.get(*pos) != Some(&b':') {
-                return Err(*pos);
-            }
-            *pos += 1;
-            map.insert(key, parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(map));
-                }
-                _ => return Err(*pos),
-            }
-        }
-    }
+    JVal::obj(pairs)
 }
 
 #[cfg(test)]
@@ -1326,7 +1034,7 @@ mod tests {
         sim.charge_seconds("solve:iter0", 1.5, 0.5);
         sim.charge_seconds("featurize", 1.0, 0.0);
         let json = chrome_trace_json(&r, &sim);
-        let doc = microjson::parse(&json).expect("trace must parse");
+        let doc = crate::json::parse(&json).expect("trace must parse");
         let events = doc.as_arr().expect("trace is an array");
         let xs: Vec<_> = events
             .iter()
@@ -1375,8 +1083,8 @@ mod tests {
                 start_us: 100,
                 dur_us: 900,
                 args: vec![
-                    ("size".into(), ChromeArg::Num(4.0)),
-                    ("kind".into(), ChromeArg::Str("wave".into())),
+                    ("size".into(), JVal::Num(4.0)),
+                    ("kind".into(), JVal::str("wave")),
                 ],
             },
             ChromeExtra {
@@ -1384,11 +1092,11 @@ mod tests {
                 name: "reject 7".into(),
                 start_us: 250,
                 dur_us: 0,
-                args: vec![("queue_depth".into(), ChromeArg::Num(8.0))],
+                args: vec![("queue_depth".into(), JVal::UInt(8))],
             },
         ];
         let json = chrome_trace_json_with(&r, &sim, &extras);
-        let doc = microjson::parse(&json).expect("trace must parse");
+        let doc = crate::json::parse(&json).expect("trace must parse");
         let events = doc.as_arr().expect("array");
         // The virtual-serving process is named and carries both lanes.
         let names: Vec<&str> = events
@@ -1427,19 +1135,5 @@ mod tests {
             Some("wave")
         );
         assert_eq!(pid3[1].get("dur").and_then(|v| v.as_f64()), Some(0.0));
-    }
-
-    #[test]
-    fn microjson_rejects_garbage() {
-        assert!(microjson::parse("{\"a\":").is_err());
-        assert!(microjson::parse("[1,2,]").is_err());
-        assert!(microjson::parse("[1] trailing").is_err());
-        assert!(microjson::parse("\"\\q\"").is_err());
-    }
-
-    #[test]
-    fn microjson_roundtrips_escapes() {
-        let v = microjson::parse("{\"k\":\"a\\\"b\\u0041\"}").expect("parse");
-        assert_eq!(v.get("k").and_then(|s| s.as_str()), Some("a\"bA"));
     }
 }

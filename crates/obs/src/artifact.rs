@@ -45,12 +45,12 @@ use keystone_core::pipeline::{ExecutablePlan, FitReport};
 use keystone_core::profiler::PipelineProfile;
 use keystone_core::report::PipelineReport;
 use keystone_core::trace::{CacheCounters, RecoveryStats, TraceEvent, TracedEvent};
-use keystone_dataflow::metrics::{microjson, Histogram, TaskSpan};
+use keystone_dataflow::metrics::{Histogram, TaskSpan};
 use keystone_dataflow::simclock::SimEntry;
 use keystone_serve::loadgen::percentile;
 use keystone_serve::server::ServeOutcome;
 
-use crate::json::JVal;
+use crate::json::{self, JVal};
 
 /// Version stamped into every artifact; bump on any change to the JSON
 /// layout. Readers check it via [`schema_version_of`] before trusting
@@ -669,8 +669,8 @@ impl RunArtifact {
                     ),
                 ]),
             ),
-            ("counters", crate::json::uint_map(&self.counters)),
-            ("gauges", crate::json::num_map(&self.gauges)),
+            ("counters", json::uint_map(&self.counters)),
+            ("gauges", json::num_map(&self.gauges)),
             (
                 "histograms",
                 JVal::Arr(self.histograms.iter().map(histogram_jval).collect()),
@@ -710,7 +710,7 @@ impl RunArtifact {
             (
                 "adaptation",
                 match &self.adaptation {
-                    Some(a) => adaptation_jval(a),
+                    Some(a) => a.to_jval(),
                     None => JVal::Null,
                 },
             ),
@@ -719,21 +719,7 @@ impl RunArtifact {
                 JVal::Arr(
                     self.tenants
                         .iter()
-                        .map(|t| {
-                            JVal::obj(vec![
-                                ("tenant", JVal::UInt(t.tenant as u64)),
-                                ("output", JVal::UInt(t.output as u64)),
-                                (
-                                    "fit_roots",
-                                    JVal::Arr(
-                                        t.fit_roots.iter().map(|&n| JVal::UInt(n as u64)).collect(),
-                                    ),
-                                ),
-                                ("shared_nodes", JVal::UInt(t.shared_nodes as u64)),
-                                ("sim_secs", JVal::Num(t.sim_secs)),
-                                ("solo_secs", JVal::Num(t.solo_secs)),
-                            ])
-                        })
+                        .map(keystone_core::report::TenantRow::to_jval)
                         .collect(),
                 ),
             ),
@@ -745,11 +731,9 @@ impl RunArtifact {
 /// interpreting the rest — the check a reader performs before trusting
 /// field paths.
 pub fn schema_version_of(json: &str) -> Option<u32> {
-    let doc = microjson::parse(json).ok()?;
-    doc.get("meta")?
-        .get("schema_version")?
-        .as_f64()
-        .map(|v| v as u32)
+    let doc = json::parse(json).ok()?;
+    let version = doc.get("meta")?.get("schema_version")?.as_u64()?;
+    u32::try_from(version).ok()
 }
 
 fn plan_jval(p: &PlanSection) -> JVal {
@@ -764,10 +748,7 @@ fn plan_jval(p: &PlanSection) -> JVal {
                             ("id", JVal::UInt(n.id as u64)),
                             ("label", JVal::str(&n.label)),
                             ("kind", JVal::str(n.kind)),
-                            (
-                                "inputs",
-                                JVal::Arr(n.inputs.iter().map(|&i| JVal::UInt(i as u64)).collect()),
-                            ),
+                            ("inputs", JVal::uints(&n.inputs)),
                             (
                                 "fused_members",
                                 JVal::Arr(n.fused_members.iter().map(|m| JVal::str(m)).collect()),
@@ -779,10 +760,7 @@ fn plan_jval(p: &PlanSection) -> JVal {
             ),
         ),
         ("output", JVal::UInt(p.output as u64)),
-        (
-            "cache_set",
-            JVal::Arr(p.cache_set.iter().map(|&i| JVal::UInt(i as u64)).collect()),
-        ),
+        ("cache_set", JVal::uints(&p.cache_set)),
         (
             "choices",
             JVal::Arr(
@@ -830,39 +808,6 @@ fn node_row_jval(n: &NodeRow) -> JVal {
             "adapt",
             n.adapt.as_deref().map(JVal::str).unwrap_or(JVal::Null),
         ),
-    ])
-}
-
-fn adaptation_jval(a: &keystone_core::optimizer::AdaptationReport) -> JVal {
-    JVal::obj(vec![
-        ("recalibrations", JVal::UInt(a.recalibrations)),
-        (
-            "revisions",
-            JVal::Arr(
-                a.revisions
-                    .iter()
-                    .map(|r| {
-                        JVal::obj(vec![
-                            ("wave", JVal::UInt(r.wave)),
-                            (
-                                "promoted",
-                                JVal::Arr(
-                                    r.promoted.iter().map(|&n| JVal::UInt(n as u64)).collect(),
-                                ),
-                            ),
-                            (
-                                "evicted",
-                                JVal::Arr(
-                                    r.evicted.iter().map(|&n| JVal::UInt(n as u64)).collect(),
-                                ),
-                            ),
-                            ("predicted_saving_secs", JVal::Num(r.predicted_saving_secs)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("decision_secs", JVal::Num(a.decision_secs)),
     ])
 }
 
@@ -1111,14 +1056,8 @@ fn event_jval(e: &TracedEvent, deterministic: bool) -> JVal {
         } => {
             pairs.push(("type", JVal::str("plan_revision")));
             pairs.push(("wave", JVal::UInt(*wave)));
-            pairs.push((
-                "promoted",
-                JVal::Arr(promoted.iter().map(|&n| JVal::UInt(n as u64)).collect()),
-            ));
-            pairs.push((
-                "evicted",
-                JVal::Arr(evicted.iter().map(|&n| JVal::UInt(n as u64)).collect()),
-            ));
+            pairs.push(("promoted", JVal::uints(promoted)));
+            pairs.push(("evicted", JVal::uints(evicted)));
             pairs.push(("predicted_saving_secs", JVal::Num(*predicted_saving_secs)));
         }
         TraceEvent::CrossCseMerge {
@@ -1156,7 +1095,7 @@ mod tests {
         let artifact = capture_test(&report, &ctx);
         let json = artifact.to_json();
         assert_eq!(schema_version_of(&json), Some(SCHEMA_VERSION));
-        let doc = microjson::parse(&json).expect("valid artifact JSON");
+        let doc = json::parse(&json).expect("valid artifact JSON");
         assert_eq!(
             doc.get("meta")
                 .and_then(|m| m.get("kind"))

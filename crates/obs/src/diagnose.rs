@@ -727,7 +727,7 @@ mod tests {
         }
         assert!(text.contains("record_skew"));
         let json = d.to_json();
-        assert!(keystone_dataflow::metrics::microjson::parse(&json).is_ok());
+        assert!(crate::json::parse(&json).is_ok());
         // Silence the unused-import lint for CaptureOptions in this module.
         let _ = CaptureOptions::default();
     }

@@ -24,8 +24,11 @@
 
 pub mod artifact;
 pub mod diagnose;
-pub mod json;
 pub mod regress;
+
+/// The workspace JSON codec, re-exported so `keystone_obs::json::JVal`
+/// keeps resolving for readers of the artifact layer.
+pub use keystone_dataflow::json;
 
 pub use artifact::{
     schema_version_of, CaptureOptions, HistogramRow, NodeRow, PlanNode, PlanSection, RunArtifact,

@@ -16,6 +16,7 @@
 //! faulted fit takes recovery charges on the simulated clock, yet its
 //! output checksum matches the clean run bit for bit.
 
+use keystoneml::dataflow::json::JVal;
 use keystoneml::prelude::*;
 
 /// Busy-waits per record so every partition does measurable work (the
@@ -161,15 +162,18 @@ fn main() {
 
     // Persist only seeded-deterministic fields: re-running the example must
     // reproduce this file byte for byte (the CI determinism job checks).
-    let json = format!(
-        "{{\n  \"seed\": {SEED},\n  \"retries\": {},\n  \"speculative_wins\": {},\n  \
-         \"cache_losses\": {},\n  \"backoff_secs\": {:.6},\n  \"output_checksum\": \"{:#018x}\"\n}}\n",
-        obs.retries,
-        obs.speculative_wins,
-        obs.cache_losses,
-        backoff_secs,
-        checksum(&faulted_out)
-    );
+    let json = JVal::obj(vec![
+        ("seed", JVal::UInt(SEED)),
+        ("retries", JVal::UInt(obs.retries)),
+        ("speculative_wins", JVal::UInt(obs.speculative_wins)),
+        ("cache_losses", JVal::UInt(obs.cache_losses)),
+        ("backoff_secs", JVal::Num(backoff_secs)),
+        (
+            "output_checksum",
+            JVal::str(&format!("{:#018x}", checksum(&faulted_out))),
+        ),
+    ])
+    .render();
     std::fs::create_dir_all("target").expect("create target/");
     std::fs::write("target/fault_report.json", &json).expect("write fault report");
     println!("\nwrote target/fault_report.json");

@@ -14,13 +14,12 @@
 //! * micro-batching (batch >= 8) beats batch=1 QPS on the fused chain —
 //!   per-wave dispatch overhead amortizes across the batch.
 
-use std::fmt::Write as _;
-
 use keystoneml::core::context::ExecContext;
 use keystoneml::core::operator::Transformer;
 use keystoneml::core::optimizer::PipelineOptions;
 use keystoneml::core::pipeline::Pipeline;
 use keystoneml::core::profiler::ProfileOptions;
+use keystoneml::dataflow::json::JVal;
 use keystoneml::serve::{BatchPolicy, LoadGen, Server};
 
 const DEPTH: usize = 16;
@@ -69,7 +68,7 @@ fn main() {
         .map(|r| (0..DIM).map(|c| (r * DIM + c) as f64 * 1e-4).collect())
         .collect();
 
-    let mut rows = String::new();
+    let mut configs = Vec::new();
     let mut fused_qps_batch1 = 0.0f64;
     let mut fused_qps_batch8 = 0.0f64;
     println!(
@@ -123,22 +122,27 @@ fn main() {
                 .metrics
                 .histogram("serve.latency_secs")
                 .expect("serve records its latency histogram");
-            let buckets: Vec<String> = hist.bucket_counts().iter().map(|c| c.to_string()).collect();
             // Virtual quantities only: wall QPS would differ between runs.
-            let _ = write!(
-                rows,
-                "{}    {{\"fusion\": {fusion}, \"batch\": {max_batch}, \"linger_secs\": {linger:e}, \
-                 \"p50_secs\": {:.17e}, \"p99_secs\": {:.17e}, \"waves\": {}, \
-                 \"makespan_secs\": {:.17e}, \"admitted\": {}, \"rejected\": 0, \
-                 \"latency_buckets\": [{}]}}",
-                if rows.is_empty() { "" } else { ",\n" },
-                outcome.latency_percentile(50.0),
-                outcome.latency_percentile(99.0),
-                outcome.batches.len(),
-                outcome.makespan_secs,
-                outcome.responses.len(),
-                buckets.join(", ")
-            );
+            configs.push(JVal::obj(vec![
+                ("fusion", JVal::Bool(fusion)),
+                ("batch", JVal::UInt(max_batch as u64)),
+                ("linger_secs", JVal::Num(linger)),
+                ("p50_secs", JVal::Num(outcome.latency_percentile(50.0))),
+                ("p99_secs", JVal::Num(outcome.latency_percentile(99.0))),
+                ("waves", JVal::UInt(outcome.batches.len() as u64)),
+                ("makespan_secs", JVal::Num(outcome.makespan_secs)),
+                ("admitted", JVal::UInt(outcome.responses.len() as u64)),
+                ("rejected", JVal::UInt(outcome.rejects.len() as u64)),
+                (
+                    "latency_buckets",
+                    JVal::Arr(
+                        hist.bucket_counts()
+                            .iter()
+                            .map(|&c| JVal::UInt(c))
+                            .collect(),
+                    ),
+                ),
+            ]));
         }
     }
 
@@ -152,9 +156,12 @@ fn main() {
          batch8={fused_qps_batch8:.0} qps vs batch1={fused_qps_batch1:.0} qps"
     );
 
-    let report = format!(
-        "{{\n  \"depth\": {DEPTH},\n  \"requests\": {REQUESTS},\n  \"configs\": [\n{rows}\n  ]\n}}\n"
-    );
+    let report = JVal::obj(vec![
+        ("depth", JVal::UInt(DEPTH as u64)),
+        ("requests", JVal::UInt(REQUESTS as u64)),
+        ("configs", JVal::Arr(configs)),
+    ])
+    .render();
     std::fs::create_dir_all("target").expect("create target/");
     std::fs::write("target/serving_report.json", &report).expect("write serving report");
     println!("report: target/serving_report.json");

@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use keystoneml::dataflow::metrics::microjson;
+use keystoneml::dataflow::json;
 use keystoneml::prelude::*;
 
 /// Busy-waits per record so every partition does measurable work.
@@ -139,8 +139,7 @@ fn every_instrumented_node_has_a_span_per_partition() {
 fn chrome_trace_from_fit_is_valid_trace_event_json() {
     let (ctx, _report) = fit_pipeline();
     let trace = chrome_trace_json(&ctx.metrics, &ctx.sim);
-    let doc =
-        microjson::parse(&trace).unwrap_or_else(|off| panic!("trace JSON invalid at byte {off}"));
+    let doc = json::parse(&trace).unwrap_or_else(|off| panic!("trace JSON invalid at byte {off}"));
     let events = doc.as_arr().expect("trace is a JSON array");
     assert!(!events.is_empty());
 
